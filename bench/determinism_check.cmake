@@ -1,16 +1,15 @@
-# Determinism gate for the parallel build, run as a CTest:
+# Same-seed determinism gate, run as a CTest:
 #
-#   cmake -DFIG7A=<bin> -DFIG7F=<bin> -DSCHEMA_CHECK=<bin> -DWORK_DIR=<dir>
-#         -P determinism_check.cmake
+#   cmake -DFIG7A=<bin> -DFIG7F=<bin> -DSCALE_AGG=<bin> -DHOTSPOT=<bin>
+#         -DSCHEMA_CHECK=<bin> -DWORK_DIR=<dir> -P determinism_check.cmake
 #
-# Runs the fig7a and fig7f smoke benches with --threads=1 and --threads=4
-# and asserts:
-#   * fig7a's TSV stdout is byte-identical (every cell is simulated-time
-#     derived, so the whole table must not move by a single byte);
-#   * both benches' BENCH_*.json series are cell-identical via
+# Runs each smoke bench twice at its fixed seed and asserts:
+#   * the TSV stdout of fig7a, scale_aggregation and hotspot_rebalance is
+#     byte-identical (every cell derives from virtual time or accounted
+#     controller/switch state, so the table must not move by a byte);
+#   * every bench's BENCH_*.json series are cell-identical via
 #     `schema_check --compare-series`, ignoring only fig7f's wall-clock
-#     columns (controller_wall_us, subs_per_sec), which vary run to run
-#     even at a fixed thread count.
+#     columns (controller_wall_us, subs_per_sec), which vary run to run.
 foreach(v FIG7A FIG7F SCALE_AGG HOTSPOT SCHEMA_CHECK WORK_DIR)
   if(NOT DEFINED ${v})
     message(FATAL_ERROR "determinism_check.cmake: -D${v}=... is required")
@@ -18,101 +17,50 @@ foreach(v FIG7A FIG7F SCALE_AGG HOTSPOT SCHEMA_CHECK WORK_DIR)
 endforeach()
 
 file(REMOVE_RECURSE "${WORK_DIR}")
-file(MAKE_DIRECTORY "${WORK_DIR}/t1" "${WORK_DIR}/t4")
+file(MAKE_DIRECTORY "${WORK_DIR}/run1" "${WORK_DIR}/run2")
 set(ENV{PLEROMA_BENCH_SMOKE} "1")
 
-function(run_bench bin threads outdir tsv)
-  set(ENV{PLEROMA_BENCH_DIR} "${outdir}")
+# check_bench(<bin> <report name> <compare TSV: TRUE|FALSE>
+#             [--ignore-column=NAME]...)
+function(check_bench bin name compare_tsv)
+  foreach(run run1 run2)
+    set(ENV{PLEROMA_BENCH_DIR} "${WORK_DIR}/${run}")
+    execute_process(
+      COMMAND "${bin}"
+      OUTPUT_FILE "${WORK_DIR}/${name}_${run}.tsv"
+      RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 0)
+      message(FATAL_ERROR "${bin} failed (${rc})")
+    endif()
+  endforeach()
+
+  if(compare_tsv)
+    execute_process(
+      COMMAND "${CMAKE_COMMAND}" -E compare_files
+              "${WORK_DIR}/${name}_run1.tsv" "${WORK_DIR}/${name}_run2.tsv"
+      RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 0)
+      message(FATAL_ERROR
+              "${name} TSV differs between two runs of one seed "
+              "(diff ${WORK_DIR}/${name}_run1.tsv ${WORK_DIR}/${name}_run2.tsv)")
+    endif()
+  endif()
+
   execute_process(
-    COMMAND "${bin}" "--threads=${threads}"
-    OUTPUT_FILE "${tsv}"
+    COMMAND "${SCHEMA_CHECK}" --compare-series
+            "${WORK_DIR}/run1/BENCH_${name}.json"
+            "${WORK_DIR}/run2/BENCH_${name}.json" ${ARGN}
     RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "${bin} --threads=${threads} failed (${rc})")
+    message(FATAL_ERROR
+            "${name} BENCH json series differ between two runs of one seed")
   endif()
 endfunction()
 
-run_bench("${FIG7A}" 1 "${WORK_DIR}/t1" "${WORK_DIR}/fig7a_t1.tsv")
-run_bench("${FIG7A}" 4 "${WORK_DIR}/t4" "${WORK_DIR}/fig7a_t4.tsv")
-run_bench("${FIG7F}" 1 "${WORK_DIR}/t1" "${WORK_DIR}/fig7f_t1.tsv")
-run_bench("${FIG7F}" 4 "${WORK_DIR}/t4" "${WORK_DIR}/fig7f_t4.tsv")
-run_bench("${SCALE_AGG}" 1 "${WORK_DIR}/t1" "${WORK_DIR}/scale_agg_t1.tsv")
-run_bench("${SCALE_AGG}" 4 "${WORK_DIR}/t4" "${WORK_DIR}/scale_agg_t4.tsv")
-run_bench("${HOTSPOT}" 1 "${WORK_DIR}/t1" "${WORK_DIR}/hotspot_t1.tsv")
-run_bench("${HOTSPOT}" 4 "${WORK_DIR}/t4" "${WORK_DIR}/hotspot_t4.tsv")
+check_bench("${FIG7A}" fig7a TRUE)
+check_bench("${FIG7F}" fig7f FALSE
+            --ignore-column=controller_wall_us --ignore-column=subs_per_sec)
+check_bench("${SCALE_AGG}" scale_aggregation TRUE)
+check_bench("${HOTSPOT}" hotspot_rebalance TRUE)
 
-execute_process(
-  COMMAND "${CMAKE_COMMAND}" -E compare_files
-          "${WORK_DIR}/fig7a_t1.tsv" "${WORK_DIR}/fig7a_t4.tsv"
-  RESULT_VARIABLE tsv_diff)
-if(NOT tsv_diff EQUAL 0)
-  message(FATAL_ERROR
-          "fig7a TSV differs between --threads=1 and --threads=4; the "
-          "parallel simulator broke byte-identity "
-          "(diff ${WORK_DIR}/fig7a_t1.tsv ${WORK_DIR}/fig7a_t4.tsv)")
-endif()
-
-execute_process(
-  COMMAND "${SCHEMA_CHECK}" --compare-series
-          "${WORK_DIR}/t1/BENCH_fig7a.json" "${WORK_DIR}/t4/BENCH_fig7a.json"
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "fig7a BENCH json result fields differ across threads")
-endif()
-
-execute_process(
-  COMMAND "${SCHEMA_CHECK}" --compare-series
-          "${WORK_DIR}/t1/BENCH_fig7f.json" "${WORK_DIR}/t4/BENCH_fig7f.json"
-          --ignore-column=controller_wall_us --ignore-column=subs_per_sec
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "fig7f BENCH json result fields differ across threads")
-endif()
-
-# scale_aggregation: every cell is accounted controller/switch state, so —
-# like fig7a — the TSV must not move by a byte across thread counts.
-execute_process(
-  COMMAND "${CMAKE_COMMAND}" -E compare_files
-          "${WORK_DIR}/scale_agg_t1.tsv" "${WORK_DIR}/scale_agg_t4.tsv"
-  RESULT_VARIABLE tsv_diff)
-if(NOT tsv_diff EQUAL 0)
-  message(FATAL_ERROR
-          "scale_aggregation TSV differs between --threads=1 and "
-          "--threads=4; aggregated flow-state lost determinism "
-          "(diff ${WORK_DIR}/scale_agg_t1.tsv ${WORK_DIR}/scale_agg_t4.tsv)")
-endif()
-
-execute_process(
-  COMMAND "${SCHEMA_CHECK}" --compare-series
-          "${WORK_DIR}/t1/BENCH_scale_aggregation.json"
-          "${WORK_DIR}/t4/BENCH_scale_aggregation.json"
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR
-          "scale_aggregation BENCH json result fields differ across threads")
-endif()
-
-# hotspot_rebalance: queue depths, drop counters, and reroot decisions all
-# derive from virtual time, so the congested run too must be byte-stable.
-execute_process(
-  COMMAND "${CMAKE_COMMAND}" -E compare_files
-          "${WORK_DIR}/hotspot_t1.tsv" "${WORK_DIR}/hotspot_t4.tsv"
-  RESULT_VARIABLE tsv_diff)
-if(NOT tsv_diff EQUAL 0)
-  message(FATAL_ERROR
-          "hotspot_rebalance TSV differs between --threads=1 and "
-          "--threads=4; the congestion/backpressure path lost determinism "
-          "(diff ${WORK_DIR}/hotspot_t1.tsv ${WORK_DIR}/hotspot_t4.tsv)")
-endif()
-
-execute_process(
-  COMMAND "${SCHEMA_CHECK}" --compare-series
-          "${WORK_DIR}/t1/BENCH_hotspot_rebalance.json"
-          "${WORK_DIR}/t4/BENCH_hotspot_rebalance.json"
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR
-          "hotspot_rebalance BENCH json result fields differ across threads")
-endif()
-
-message(STATUS "determinism check passed: threads={1,4} byte-identical")
+message(STATUS "determinism check passed: same seed, same bytes")

@@ -85,8 +85,7 @@ std::pair<net::NodeId, net::NodeId> longestHostPair(const net::Topology& topo) {
   return best;
 }
 
-double runOnce(int nFlows, bool zipfian, std::uint64_t seed,
-               util::WorkerPool* pool) {
+double runOnce(int nFlows, bool zipfian, std::uint64_t seed) {
   net::Topology topo = net::Topology::testbedFatTree();
   const auto [pub, sub] = longestHostPair(topo);
   const auto hostPath = topo.shortestPath(pub, sub);
@@ -94,7 +93,6 @@ double runOnce(int nFlows, bool zipfian, std::uint64_t seed,
   std::vector<net::NodeId> path(hostPath.begin() + 1, hostPath.end() - 1);
 
   net::Simulator sim;
-  sim.setWorkerPool(pool);
   net::Network network(topo, sim, {});
   const auto dzs = fillPath(network, path, sub, nFlows);
 
@@ -126,18 +124,14 @@ double runOnce(int nFlows, bool zipfian, std::uint64_t seed,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace pleroma::bench;
-  const int threads = benchThreads(argc, argv);
-  std::unique_ptr<pleroma::util::WorkerPool> pool;
-  if (threads > 1) pool = std::make_unique<pleroma::util::WorkerPool>(threads);
   BenchTable bench("fig7a",
                    "Fig 7(a)",
                    "end-to-end delay vs. flow table size, longest path, 10k events");
   bench.meta("seed", 1);
   bench.meta("topology", "testbed_fat_tree");
   bench.meta("workload", "synthetic_flow_fill_uniform_and_zipfian");
-  bench.meta("threads", threads);
   bench.beginSeries("delay_vs_flows", {{"flows", "entries"},
                                        {"delay_ms_uniform", "ms"},
                                        {"delay_ms_zipfian", "ms"}});
@@ -146,8 +140,7 @@ int main(int argc, char** argv) {
                                      : std::vector<int>{5000, 10000, 20000,
                                                         40000, 80000};
   for (const int n : sweep) {
-    bench.row({n, cell(runOnce(n, false, 1, pool.get()), 3),
-               cell(runOnce(n, true, 2, pool.get()), 3)});
+    bench.row({n, cell(runOnce(n, false, 1), 3), cell(runOnce(n, true, 2), 3)});
   }
   return 0;
 }

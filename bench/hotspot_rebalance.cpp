@@ -20,7 +20,7 @@
 // drops must strictly improve once rebalancing is enabled. The "queued"
 // gauge column is the peak of Network::stats() occupancy sampled at the
 // fixed virtual instants of the pacing loop, so every number is
-// byte-identical at any --threads.
+// byte-identical between runs.
 #include "bench_common.hpp"
 
 #include <algorithm>
@@ -72,10 +72,9 @@ double p99Ms(const std::vector<net::SimTime>& samples) {
 constexpr double kBandwidthBps = 8.0e6;
 constexpr net::SimTime kEventInterval = 80 * net::kMicrosecond;
 
-ModeResult runMode(Mode mode, int threads, int steps) {
+ModeResult runMode(Mode mode, int steps) {
   core::PleromaOptions opts;
   opts.numAttributes = 2;
-  opts.threads = threads;
   opts.controller.maxDzLength = 8;
   opts.network.linkQueueCapacity = 8;
   opts.network.backpressure = mode != Mode::kDrop;
@@ -159,16 +158,14 @@ ModeResult runMode(Mode mode, int threads, int steps) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace pleroma::bench;
-  const int threads = benchThreads(argc, argv);
   BenchTable bench("hotspot_rebalance", "Congestion",
                    "finite link queues under a cross-pod hotspot: drop vs. "
                    "backpressure vs. congestion-driven tree rebalancing");
   bench.meta("seed", 0);
   bench.meta("topology", "fat_tree_2x2x2x2_8mbps");
   bench.meta("workload", "two_publisher_hotspot");
-  bench.meta("threads", threads);
   bench.beginSeries("modes", {{"mode", ""},
                               {"delivered", "count"},
                               {"p99_delay_ms", "ms"},
@@ -182,7 +179,7 @@ int main(int argc, char** argv) {
 
   const int steps = scaled(3000, 300);
   for (const Mode mode : {Mode::kDrop, Mode::kBackpressure, Mode::kRebalance}) {
-    const ModeResult r = runMode(mode, threads, steps);
+    const ModeResult r = runMode(mode, steps);
     bench.row({name(mode), r.delivered, cell(r.p99DelayMs, 3), r.queueDrops,
                r.bpDrops, r.bpParks, r.bpRetries, r.peakQueueDepth,
                r.maxQueuedGauge, r.rebalances});

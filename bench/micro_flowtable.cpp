@@ -69,7 +69,7 @@ BENCHMARK(BM_FlowTableLookupNestedPriorities);
 /// The observability acceptance gate: lookup cost with metrics never
 /// attached vs. attached-but-disabled vs. enabled. The disabled variant
 /// must stay within 2% of the detached baseline (the per-family enable
-/// flag is one relaxed atomic load behind a null check).
+/// flag is one plain load behind a null check).
 void BM_FlowTableLookupObs(benchmark::State& state) {
   enum Mode { kDetached = 0, kDisabled = 1, kEnabled = 2 };
   const auto mode = static_cast<Mode>(state.range(0));

@@ -20,7 +20,7 @@
 // (coarsen added_volume) grows — precision degrades instead of failing.
 //
 // Every reported number is simulated/accounted state, so the whole table
-// is byte-identical at any --threads; real RSS is metadata-only
+// is byte-identical between runs; real RSS is metadata-only
 // provenance (allocator- and kernel-dependent).
 #include "bench_common.hpp"
 
@@ -39,15 +39,13 @@ struct ScalePoint {
   std::uint64_t coveredSubscribes = 0;
 };
 
-core::PleromaOptions baseOptions(bool aggregated, int threads,
-                                 std::size_t tcamBudget) {
+core::PleromaOptions baseOptions(bool aggregated, std::size_t tcamBudget) {
   core::PleromaOptions opts;
   opts.numAttributes = 2;
   opts.controller.maxDzLength = 12;
   opts.controller.maxCellsPerRequest = 4;
   opts.controller.aggregateSubscriptions = aggregated;
   opts.controller.tcamBudget = tcamBudget;
-  opts.threads = threads;
   return opts;
 }
 
@@ -65,10 +63,10 @@ workload::WorkloadGenerator makeGenerator(std::size_t hostCount,
 /// Registers `numSubs` zipfian subscriptions round-robin over the end
 /// hosts behind one whole-space publisher; no events are published — the
 /// subject is control-plane state, not delivery latency.
-ScalePoint runOnce(std::size_t numSubs, bool aggregated, int threads,
+ScalePoint runOnce(std::size_t numSubs, bool aggregated,
                    std::size_t tcamBudget = 0) {
   core::Pleroma p(net::Topology::testbedFatTree(),
-                  baseOptions(aggregated, threads, tcamBudget));
+                  baseOptions(aggregated, tcamBudget));
   const auto hosts = p.topology().hosts();
   workload::WorkloadGenerator gen = makeGenerator(hosts.size(), 29);
 
@@ -89,16 +87,14 @@ ScalePoint runOnce(std::size_t numSubs, bool aggregated, int threads,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace pleroma::bench;
-  const int threads = benchThreads(argc, argv);
   BenchTable bench("scale_aggregation", "Fig 7(b)/(d)-class scale sweep",
                    "installed flow entries and flow-state vs. subscribers, "
                    "naive vs aggregated");
   bench.meta("seed", 29);
   bench.meta("topology", "testbed_fat_tree");
   bench.meta("workload", "zipfian_subscriptions");
-  bench.meta("threads", threads);
 
   const std::vector<std::size_t> sweep =
       smokeMode()
@@ -120,8 +116,8 @@ int main(int argc, char** argv) {
                      {"covered_subscribes", "count"}});
   double largestReduction = 0.0;
   for (const std::size_t n : sweep) {
-    const ScalePoint naive = runOnce(n, /*aggregated=*/false, threads);
-    const ScalePoint agg = runOnce(n, /*aggregated=*/true, threads);
+    const ScalePoint naive = runOnce(n, /*aggregated=*/false);
+    const ScalePoint agg = runOnce(n, /*aggregated=*/true);
     const double reduction =
         agg.installedPaths == 0 ? 0.0
                                 : static_cast<double>(naive.installedPaths) /
@@ -153,8 +149,7 @@ int main(int argc, char** argv) {
                      {"added_volume", "space_fraction"}});
   for (const std::size_t budget : {std::size_t{0}, std::size_t{64},
                                    std::size_t{16}, std::size_t{4}}) {
-    core::PleromaOptions opts = baseOptions(/*aggregated=*/true, threads,
-                                            budget);
+    core::PleromaOptions opts = baseOptions(/*aggregated=*/true, budget);
     opts.controller.maxDzLength = 16;
     opts.controller.maxCellsPerRequest = 16;
     core::Pleroma p(net::Topology::testbedFatTree(), opts);

@@ -1,13 +1,12 @@
 // Executes a declarative scenario file (schema pleroma-scenario-v1):
 //
-//   scenario_run FILE.json [--threads=N] [--smoke]
+//   scenario_run FILE.json [--smoke]
 //
 // Loads and validates the scenario, runs it (single-partition scenarios
 // drive core::Pleroma, multi-partition ones interop::MultiDomain), prints
 // the per-phase TSV table, and writes BENCH_<name>.json — a pleroma-bench-v1
 // report — to $PLEROMA_BENCH_DIR. --smoke (or PLEROMA_BENCH_SMOKE) applies
-// the scenario's smoke caps so the whole catalog executes in seconds;
-// --threads only changes wall-clock, never any reported value.
+// the scenario's smoke caps so the whole catalog executes in seconds.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -23,8 +22,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      // parsed by bench::benchThreads below
     } else if (argv[i][0] == '-') {
       std::fprintf(stderr, "unknown option: %s\n", argv[i]);
       return 2;
@@ -36,7 +33,7 @@ int main(int argc, char** argv) {
     }
   }
   if (file == nullptr) {
-    std::fprintf(stderr, "usage: %s FILE.json [--threads=N] [--smoke]\n",
+    std::fprintf(stderr, "usage: %s FILE.json [--smoke]\n",
                  argv[0]);
     return 2;
   }
@@ -53,7 +50,6 @@ int main(int argc, char** argv) {
   }
 
   scenario::RunOptions options;
-  options.threads = bench::benchThreads(argc, argv);
   options.smoke = smoke;
   options.log = [](const std::string& line) {
     std::printf("# %s\n", line.c_str());

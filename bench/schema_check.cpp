@@ -7,8 +7,8 @@
 //   schema_check --compare-series A.json B.json [--ignore-column=NAME]...
 // asserts that the two reports carry the same series with cell-identical
 // rows, skipping columns named in --ignore-column (wall-clock measurements
-// that legitimately vary run to run). The determinism CI job runs benches
-// with --threads 1 and --threads 4 and feeds both artifacts through this.
+// that legitimately vary run to run). The determinism CI job runs each
+// bench twice at one seed and feeds both artifacts through this.
 //
 // Third mode:
 //   schema_check --scenario FILE.json...

@@ -287,15 +287,18 @@ constexpr std::size_t kTreePoolCap = 64;
 
 std::unique_ptr<SpanningTree> Controller::acquireTree(
     int id, dz::DzSet dzSet, net::NodeId root,
-    const std::vector<net::LinkId>& allowedLinks) {
+    const std::vector<net::LinkId>& allowedLinks,
+    const std::vector<net::SimTime>* linkCosts) {
   if (!treePool_.empty()) {
     std::unique_ptr<SpanningTree> t = std::move(treePool_.back());
     treePool_.pop_back();
-    t->rebuild(id, std::move(dzSet), root, network_.topology(), allowedLinks);
+    t->rebuild(id, std::move(dzSet), root, network_.topology(), allowedLinks,
+               linkCosts);
     return t;
   }
   return std::make_unique<SpanningTree>(id, std::move(dzSet), root,
-                                        network_.topology(), allowedLinks);
+                                        network_.topology(), allowedLinks,
+                                        linkCosts);
 }
 
 void Controller::retireTree(std::unique_ptr<SpanningTree> tree) {
@@ -687,75 +690,36 @@ void Controller::rebuildTreeAt(int treeId, net::NodeId root) {
 void Controller::rebuildTrees(
     const std::vector<std::pair<int, net::NodeId>>& idRoots) {
   if (idRoots.empty()) return;
-  // Plan + commit rewrite trees/registry/mirror as one batch; hold off any
-  // Reconciler audit pass until the batch has fully committed.
+  // The batch rewrites trees/registry/mirror; hold off any Reconciler
+  // audit pass until every tree of it has been rebuilt.
   MutationScope mutationScope(*this);
 
-  // Plan of one tree's rebuild: everything derivable without mutating
-  // controller state. The fresh tree is constructed and its routes derived
-  // here; installs and registry updates wait for the commit phase.
+  // A route derived against the fresh tree, installed once the old tree's
+  // paths are gone.
   struct PlannedPath {
     PublisherId pub;
     SubscriptionId sub;
     dz::DzSet overlap;
     std::vector<RouteHop> hops;
   };
-  struct TreePlan {
-    int oldId = -1;
-    int newId = -1;
-    net::NodeId root = net::kInvalidNode;
-    std::vector<PathId> oldPaths;
-    std::vector<net::NodeId> affected;
-    std::unique_ptr<SpanningTree> fresh;
-    std::vector<PlannedPath> paths;
-  };
-
-  // Collect plans in list order, pre-assigning the fresh tree ids so the
-  // id sequence matches a one-by-one rebuild exactly.
-  std::vector<TreePlan> plans;
-  plans.reserve(idRoots.size());
+  std::vector<PlannedPath> planned;
   const std::vector<net::LinkId> activeLinks = activeInternalLinks();
   for (const auto& [treeId, root] : idRoots) {
-    if (findTree(trees_, treeId) == trees_.end()) continue;
+    const auto oldIt = findTree(trees_, treeId);
+    if (oldIt == trees_.end()) continue;
     if (obsTreeRebuilds_ != nullptr) obsTreeRebuilds_->inc();
-    TreePlan plan;
-    plan.oldId = treeId;
-    plan.newId = nextTreeId_++;
-    plan.root = root;
-    // Pool pops mutate treePool_ and must stay out of the concurrent plan
-    // phase: hand each plan its recycled tree (if any) here, sequentially.
-    if (!treePool_.empty()) {
-      plan.fresh = std::move(treePool_.back());
-      treePool_.pop_back();
-    }
-    plans.push_back(std::move(plan));
-  }
-
-  // Plan phase — safe to run concurrently: each task reads only its own
-  // (distinct) old tree, the topology, the active-link snapshot, the
-  // registration records and the path registry, none of which change until
-  // the commit phase below; all writes go to the task's own TreePlan slot.
-  auto planOne = [&](std::size_t i) {
-    TreePlan& plan = plans[i];
-    const auto it = findTree(trees_, plan.oldId);
-    const SpanningTree& old = **it;
+    const SpanningTree& old = **oldIt;
     // Detached paths; routes are re-derived from the registered
     // advertisements and subscriptions (not replayed from the registry), so
     // paths that were dropped while endpoints were unreachable heal here.
-    plan.oldPaths = registry_.pathsOfTree(plan.oldId);
-    plan.affected = registry_.switchesOf(plan.oldPaths);
-    if (plan.fresh != nullptr) {
-      plan.fresh->rebuild(plan.newId, old.dzSet(), plan.root,
-                          network_.topology(), activeLinks,
-                          linkCostOverride_);
-    } else {
-      plan.fresh = std::make_unique<SpanningTree>(
-          plan.newId, old.dzSet(), plan.root, network_.topology(),
-          activeLinks, linkCostOverride_);
-    }
+    const std::vector<PathId> oldPaths = registry_.pathsOfTree(treeId);
+    const std::vector<net::NodeId> affected = registry_.switchesOf(oldPaths);
+    std::unique_ptr<SpanningTree> fresh = acquireTree(
+        nextTreeId_++, old.dzSet(), root, activeLinks, linkCostOverride_);
+    planned.clear();
     for (const auto& [pub, overlap] : old.publishers()) {
       if (!advertisements_.contains(pub)) continue;
-      plan.fresh->addPublisher(pub, overlap);
+      fresh->addPublisher(pub, overlap);
       // addFlowMultSub, minus the side effects: candidate subscriptions via
       // the spatial index, then route derivation per overlapping pair.
       std::set<SubscriptionId> candidates;
@@ -772,38 +736,27 @@ void Controller::rebuildTrees(
         const Endpoint& subEndpoint = interestEndpoint(subId);
         if (adv.endpoint == subEndpoint) continue;
         std::vector<RouteHop> hops =
-            plan.fresh->route(adv.endpoint, subEndpoint, network_.topology());
+            fresh->route(adv.endpoint, subEndpoint, network_.topology());
         if (hops.empty()) continue;  // not connected within this partition
-        plan.paths.push_back(
+        planned.push_back(
             PlannedPath{pub, subId, std::move(pairDz), std::move(hops)});
       }
     }
-  };
-  if (pool_ != nullptr) {
-    pool_->parallelFor(plans.size(), planOne);
-  } else {
-    for (std::size_t i = 0; i < plans.size(); ++i) planOne(i);
-  }
 
-  // Commit phase — sequential, in list order, replaying exactly what the
-  // one-by-one rebuild loop would do to the registry, the tree list and the
-  // installer mirror.
-  for (TreePlan& plan : plans) {
-    for (const PathId id : plan.oldPaths) registry_.remove(id);
-    const auto it = findTree(trees_, plan.oldId);
-    retireTree(std::move(*it));
-    trees_.erase(it);
-    trees_.push_back(std::move(plan.fresh));
-    SpanningTree& fresh = *trees_.back();
-    for (PlannedPath& pp : plan.paths) {
-      if (registry_.alreadyCovered(pp.pub, pp.sub, fresh.id(), pp.overlap)) {
+    for (const PathId id : oldPaths) registry_.remove(id);
+    retireTree(std::move(*oldIt));
+    trees_.erase(oldIt);
+    trees_.push_back(std::move(fresh));
+    const int freshId = trees_.back()->id();
+    for (PlannedPath& pp : planned) {
+      if (registry_.alreadyCovered(pp.pub, pp.sub, freshId, pp.overlap)) {
         continue;
       }
       installer_.installPath(pp.overlap, pp.hops);
-      registry_.add(InstalledPath{-1, pp.pub, pp.sub, fresh.id(), pp.overlap,
+      registry_.add(InstalledPath{-1, pp.pub, pp.sub, freshId, pp.overlap,
                                   std::move(pp.hops)});
     }
-    for (const net::NodeId sw : plan.affected) {
+    for (const net::NodeId sw : affected) {
       installer_.reconcileSwitch(sw, registry_.requiredFlows(sw));
     }
   }

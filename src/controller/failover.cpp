@@ -86,13 +86,13 @@ void FailoverManager::promote() {
   if (obsPromotions_ != nullptr) obsPromotions_->inc();
 
   // 1. Muted-replay rebuild of the primary's intent (standby.hpp).
-  promotedCtrl_ = standby_.promote(pool_);
+  promotedCtrl_ = standby_.promote();
   openflow::ControlChannel& channel = promotedCtrl_->channel();
 
   // The replica inherits the deployment's channel profile — mode, batching,
   // fault model, retry policy — but a fixed fault seed: the dead primary's
   // Rng position is unknowable, and a deterministic reseed keeps the repair
-  // byte-identical across thread counts and bench configurations.
+  // byte-identical across runs and bench configurations.
   const openflow::ControlChannel& old = primary_.channel();
   if (old.asyncInstall()) channel.enableAsyncInstall();
   channel.enableBatching(old.batchingEnabled());

@@ -78,10 +78,10 @@ class LoadMonitor {
   bool rebalanceOnce();
 
   /// Periodic closed-loop mode: every `interval` of virtual time, sample()
-  /// then rebalanceOnce(). Runs as a slow-lane simulator task (sequential,
-  /// exact virtual instants), so the control loop is deterministic at any
-  /// thread count. The LoadMonitor must outlive the pending task (or be
-  /// stopped and the event queue drained).
+  /// then rebalanceOnce(). Runs as a slow-lane simulator task at exact
+  /// virtual instants, so the control loop is deterministic. The
+  /// LoadMonitor must outlive the pending task (or be stopped and the event
+  /// queue drained).
   void startPeriodic(net::SimTime interval);
   void stopPeriodic() noexcept { periodicInterval_ = 0; }
   bool periodicEnabled() const noexcept { return periodicInterval_ > 0; }

@@ -13,12 +13,12 @@
 // covered by its prefixes' union is unnecessary (that's the "downgrade").
 //
 // Storage is sharded by tree id: each tree's paths live in their own map,
-// matching the per-tree task granularity of concurrent tree recomputation
-// (Controller::rebuildTrees) — a tree rebuild drains and refills exactly
-// one shard, and Algorithm 1 keeps DZ(t) disjoint across trees so shards
-// never share a path. The cross-tree indexes (by switch / subscription /
-// publisher) are maintained alongside and only touched on the sequential
-// commit path.
+// so pathsOfTree — the first step of every tree rebuild
+// (Controller::rebuildTrees) — reads one shard instead of scanning all
+// paths, and a rebuild drains one shard and fills another. Algorithm 1
+// keeps DZ(t) disjoint across trees, so shards never share a path. The
+// cross-tree indexes (by switch / subscription / publisher) are maintained
+// alongside.
 #pragma once
 
 #include <cstdint>

@@ -6,24 +6,14 @@ namespace pleroma::core {
 
 Pleroma::Pleroma(net::Topology topology, PleromaOptions options)
     : dimensionWindow_(options.dimensionWindow) {
-  if (options.threads > 1) {
-    pool_ = std::make_unique<util::WorkerPool>(options.threads,
-                                               options.pinWorkers);
-    sim_.setWorkerPool(pool_.get());
-  }
   network_ = std::make_unique<net::Network>(std::move(topology), sim_,
                                             options.network);
-  if (pool_ && options.shardPlacement == util::ShardPlacement::kBlock) {
-    sim_.setShardPlacement(
-        net::blockShardPlacement(network_->topology(), pool_->threads()));
-  }
   subsByHost_.resize(
       static_cast<std::size_t>(network_->topology().nodeCount()));
   controller_ = std::make_unique<ctrl::Controller>(
       dz::EventSpace(options.numAttributes, options.bitsPerDim), *network_,
       ctrl::Scope::wholeTopology(network_->topology()), options.controller);
   if (options.asyncFlowInstall) controller_->channel().enableAsyncInstall();
-  if (pool_) controller_->setWorkerPool(pool_.get());
   network_->setDeliverHandler(
       [this](net::NodeId host, const net::Packet& pkt) { onDeliver(host, pkt); });
 
@@ -35,7 +25,6 @@ Pleroma::Pleroma(net::Topology topology, PleromaOptions options)
     standby_ = std::make_unique<ctrl::StandbyController>(*controller_);
     failover_ = std::make_unique<ctrl::FailoverManager>(
         *controller_, *standby_, options.failover.config);
-    if (pool_) failover_->setWorkerPool(pool_.get());
     failover_->attachMetrics(metrics_);
     failover_->setPromotionCallback([this](ctrl::Controller& promoted) {
       promoted.attachObservability(metrics_, &tracer_);

@@ -4,10 +4,9 @@
 // away from hot links (the MPINET-style hottest-pair / periodic-timestep
 // loop, PAPERS.md "SDN-like: The Next Generation of Pub/Sub").
 //
-// Determinism: samples run as slow-lane simulator tasks, which always
-// execute sequentially on the coordinating thread at exact virtual
-// instants, and they read only end-of-run counter totals — so the score
-// series is byte-identical at any --threads=N.
+// Determinism: samples run as slow-lane simulator tasks at exact virtual
+// instants and read only counter totals, so the score series is a pure
+// function of the seed.
 #pragma once
 
 #include <cstdint>

@@ -263,7 +263,7 @@ const FlowEntry* FlowTable::lookup(dz::Ipv6Address dst) const {
       bestLength = b.length;
     }
   }
-  if (obsEnabled_ != nullptr && obsEnabled_->load(std::memory_order_relaxed)) {
+  if (obsEnabled_ != nullptr && *obsEnabled_) {
     obsLookups_->inc();
     obsProbes_->record(static_cast<double>(buckets_.size()));
     (best != nullptr ? obsHits_ : obsMisses_)->inc();

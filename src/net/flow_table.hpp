@@ -22,7 +22,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -38,7 +37,6 @@
 #include "dz/ip_encoding.hpp"
 #include "net/types.hpp"
 #include "obs/metrics.hpp"
-#include "util/relaxed_counter.hpp"
 
 namespace pleroma::net {
 
@@ -218,23 +216,19 @@ struct FlowEntry {
   }
 };
 
-/// Table statistics observable by benches and tests. Counters are
-/// single-writer relaxed atomics (util::ShardedCounter): during parallel
-/// run execution each FlowTable is touched by exactly one worker (the
-/// per-node sharding invariant, DESIGN.md §10), so a plain load+store
-/// increment is race-free and lookup keeps its single-thread cost.
+/// Table statistics observable by benches and tests.
 struct FlowTableStats {
-  util::ShardedCounter lookups = 0;
-  util::ShardedCounter hits = 0;
-  util::ShardedCounter misses = 0;
+  std::uint64_t lookups = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
   /// Bucket probes issued by lookup() — one per distinct installed prefix
   /// length; probes/lookups is the effective TCAM scan width.
-  util::ShardedCounter probes = 0;
-  util::ShardedCounter inserts = 0;
-  util::ShardedCounter modifies = 0;
-  util::ShardedCounter removes = 0;
-  util::ShardedCounter rejectedCapacity = 0;
-  util::ShardedCounter rejectedDuplicate = 0;
+  std::uint64_t probes = 0;
+  std::uint64_t inserts = 0;
+  std::uint64_t modifies = 0;
+  std::uint64_t removes = 0;
+  std::uint64_t rejectedCapacity = 0;
+  std::uint64_t rejectedDuplicate = 0;
 };
 
 class FlowTable {
@@ -429,14 +423,13 @@ class FlowTable {
   std::vector<std::uint32_t> freeSlots_;
   std::uint32_t slotHighWater_ = 0;
   /// Per-entry matched-packet counters, SoA column parallel to the arena.
-  /// Mutable: bumped by const lookup under the single-writer-per-table
-  /// sharding invariant, like the stats counters.
+  /// Mutable: bumped by const lookup, like the stats counters.
   mutable std::vector<std::uint64_t> matched_;
 
   mutable FlowTableStats stats_;
   /// Family enable flag, checked once per lookup to gate all four handle
-  /// updates (keeps the attached-but-disabled cost to one relaxed load).
-  const std::atomic<bool>* obsEnabled_ = nullptr;
+  /// updates (keeps the attached-but-disabled cost to one load).
+  const bool* obsEnabled_ = nullptr;
   obs::Counter* obsLookups_ = nullptr;
   obs::Counter* obsHits_ = nullptr;
   obs::Counter* obsMisses_ = nullptr;

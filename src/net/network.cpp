@@ -111,33 +111,6 @@ void Network::onPacketEvent(PacketEventKind kind, NodeId node, PortId port,
   }
 }
 
-std::int64_t Network::packetShardKey(PacketEventKind kind, NodeId node,
-                                     PortId /*port*/,
-                                     const Packet& packet) const {
-  if (tracer_ != nullptr && tracer_->enabled()) return kNoShard;
-  if (kind == PacketEventKind::kSwitchPipeline &&
-      packet.dst == dz::kControlAddress) {
-    return kNoShard;
-  }
-  // kLinkRetry mutates the sending node's direction state only, and `node`
-  // is that sender, so the default per-node key already covers it.
-  return static_cast<std::int64_t>(node);
-}
-
-void Network::onStagedCallback(int kind, NodeId node, PortId port,
-                               Packet&& packet) {
-  switch (kind) {
-    case kCbPacketIn:
-      if (packetIn_) packetIn_(node, port, std::move(packet));
-      break;
-    case kCbDeliver:
-      if (deliver_) deliver_(node, packet);
-      break;
-    default:
-      assert(false);
-  }
-}
-
 void Network::processAtSwitch(NodeId switchNode, PortId inPort,
                               Packet&& packet) {
   sim_.schedulePacket(config_.switchProcessingDelay, *this,
@@ -156,10 +129,6 @@ void Network::switchPipeline(NodeId switchNode, PortId inPort,
   // packets go to the controller over the control network, never through
   // the flow table.
   if (packet.dst == dz::kControlAddress) {
-    // Never reached on a worker: packetShardKey marks punts kNoShard, so a
-    // run containing one executes sequentially (the controller may install
-    // flows that later same-timestamp events must observe).
-    assert(!Simulator::staging());
     ++counters_.packetsPuntedToController;
     if (packetIn_) packetIn_(switchNode, inPort, std::move(packet));
     return;
@@ -178,8 +147,7 @@ void Network::switchPipeline(NodeId switchNode, PortId inPort,
   if (entry == nullptr) {
     if (failSoft_) {
       // Fail-soft: park the miss for replay after the failover repair
-      // instead of dropping. The buffer is this switch's own state, so
-      // the per-node sharding contract holds.
+      // instead of dropping.
       auto& buffer = missBuffers_[static_cast<std::size_t>(switchNode)];
       if (buffer.size() < config_.missBufferCapacity) {
         ++counters_.packetsBufferedOnMiss;
@@ -249,16 +217,7 @@ void Network::receiveAtHost(NodeId host, Packet&& packet) {
   }
   if (config_.hostServiceTime == 0) {
     ++counters_.packetsDeliveredToHosts;
-    if (deliver_) {
-      // On a worker, defer the callback to the coordinator's merge phase:
-      // user callbacks stay single-threaded and fire in canonical order.
-      if (Simulator::staging()) {
-        sim_.stageCallback(*this, kCbDeliver, host, kInvalidPort,
-                           std::move(packet));
-      } else {
-        deliver_(host, packet);
-      }
-    }
+    if (deliver_) deliver_(host, packet);
     return;
   }
   if (state.queued >= config_.hostQueueCapacity) {
@@ -275,14 +234,7 @@ void Network::receiveAtHost(NodeId host, Packet&& packet) {
 void Network::hostServiceDone(NodeId host, Packet&& packet) {
   --hostState_[static_cast<std::size_t>(host)].queued;
   ++counters_.packetsDeliveredToHosts;
-  if (deliver_) {
-    if (Simulator::staging()) {
-      sim_.stageCallback(*this, kCbDeliver, host, kInvalidPort,
-                         std::move(packet));
-    } else {
-      deliver_(host, packet);
-    }
-  }
+  if (deliver_) deliver_(host, packet);
 }
 
 void Network::attachObservability(obs::MetricsRegistry& reg,
@@ -399,9 +351,8 @@ void Network::armRetry(LinkDirState& dir, NodeId fromNode, PortId outPort) {
     dir.backoff = std::min(dir.backoff * 2, config_.backpressureBackoffCap);
   }
   // The timer event carries an empty Packet; its (node, port) names the
-  // direction. Worker-side schedules are staged and replayed in canonical
-  // order, and the delay is computed from virtual time only, so retries
-  // are deterministic across thread counts.
+  // direction. The delay is computed from virtual time only, so retries
+  // are deterministic.
   sim_.schedulePacket(dir.backoff, *this, PacketEventKind::kLinkRetry,
                       fromNode, outPort, Packet{});
 }

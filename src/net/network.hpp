@@ -32,7 +32,6 @@
 #include "net/simulator.hpp"
 #include "net/topology.hpp"
 #include "obs/trace.hpp"
-#include "util/relaxed_counter.hpp"
 
 namespace pleroma::net {
 
@@ -86,9 +85,7 @@ struct NetworkConfig {
   SimTime backpressureBackoffCap = 160 * kMicrosecond;
 };
 
-/// Network-wide counters. Multi-writer relaxed atomics: during parallel
-/// run execution workers on different node shards bump the same aggregate
-/// counter concurrently (DESIGN.md §10).
+/// Network-wide counters.
 ///
 /// Conservation contract (CongestionConservation test): packet instances
 /// are born by host sends, controller injections and switch fan-out
@@ -100,27 +97,27 @@ struct NetworkConfig {
 ///   delivered + punted + consumedAtSwitch + totalDropped()
 ///   + missBufferedPackets() + backpressureParkedPackets().
 struct NetworkCounters {
-  util::RelaxedCounter packetsForwarded = 0;  ///< switch output actions executed
-  util::RelaxedCounter packetsPuntedToController = 0;
-  util::RelaxedCounter packetsDeliveredToHosts = 0;
+  std::uint64_t packetsForwarded = 0;  ///< switch output actions executed
+  std::uint64_t packetsPuntedToController = 0;
+  std::uint64_t packetsDeliveredToHosts = 0;
   /// Admissions: packets entering the data plane at hosts / from the
   /// controller (injectAtSwitch + sendOutPort).
-  util::RelaxedCounter packetsSentFromHosts = 0;
-  util::RelaxedCounter packetsInjectedByController = 0;
+  std::uint64_t packetsSentFromHosts = 0;
+  std::uint64_t packetsInjectedByController = 0;
   /// Packets that matched a flow entry and were consumed by fan-out
   /// (i.e. re-emitted as >= 1 forwarded copies).
-  util::RelaxedCounter packetsConsumedAtSwitch = 0;
+  std::uint64_t packetsConsumedAtSwitch = 0;
   // ---- fail-soft (controller failover window) --------------------------
-  util::RelaxedCounter packetsBufferedOnMiss = 0;
-  util::RelaxedCounter packetsReplayedFromMissBuffer = 0;
+  std::uint64_t packetsBufferedOnMiss = 0;
+  std::uint64_t packetsReplayedFromMissBuffer = 0;
   // ---- backpressure ----------------------------------------------------
-  util::RelaxedCounter packetsParkedOnBackpressure = 0;  ///< parks (cumulative)
-  util::RelaxedCounter packetsResumedFromBackpressure = 0;
-  util::RelaxedCounter backpressureRetries = 0;  ///< retry timer firings
+  std::uint64_t packetsParkedOnBackpressure = 0;  ///< parks (cumulative)
+  std::uint64_t packetsResumedFromBackpressure = 0;
+  std::uint64_t backpressureRetries = 0;  ///< retry timer firings
   // ---- unified drop taxonomy -------------------------------------------
-  std::array<util::RelaxedCounter, kDropReasonCount> drops{};
+  std::array<std::uint64_t, kDropReasonCount> drops{};
 
-  util::RelaxedCounter& drop(DropReason reason) noexcept {
+  std::uint64_t& drop(DropReason reason) noexcept {
     return drops[static_cast<std::size_t>(reason)];
   }
   std::uint64_t dropped(DropReason reason) const noexcept {
@@ -133,14 +130,13 @@ struct NetworkCounters {
   }
 };
 
-/// Per-link counters. Multi-writer: a link's two endpoints may live on
-/// different shards and transmit onto it in the same run.
+/// Per-link counters.
 struct LinkCounters {
-  util::RelaxedCounter packets = 0;
-  util::RelaxedCounter bytes = 0;
+  std::uint64_t packets = 0;
+  std::uint64_t bytes = 0;
   /// Packets lost to this link's full queue (both directions, cumulative;
   /// includes backpressure park-buffer overflow).
-  util::RelaxedCounter queueDrops = 0;
+  std::uint64_t queueDrops = 0;
 };
 
 class Network : public PacketSink {
@@ -269,27 +265,7 @@ class Network : public PacketSink {
   void onPacketEvent(PacketEventKind kind, NodeId node, PortId port,
                      Packet&& packet) override;
 
-  /// Sharding contract for parallel run execution: every handler mutates
-  /// only its target node's state (flow table, host queue, TCAM stats, the
-  /// node's outbound link-queue directions), so the shard key is the node
-  /// id. Events whose handler escapes that contract — a punt to the
-  /// controller (which may install flows other same-timestamp events would
-  /// observe) or any event while tracing is on (the Tracer is
-  /// single-threaded and record order matters) — demand sequential
-  /// execution via kNoShard.
-  std::int64_t packetShardKey(PacketEventKind kind, NodeId node, PortId port,
-                              const Packet& packet) const override;
-
-  /// Replays a packet-in / deliver callback deferred by a worker, on the
-  /// coordinating thread in canonical order.
-  void onStagedCallback(int kind, NodeId node, PortId port,
-                        Packet&& packet) override;
-
  private:
-  /// onStagedCallback kinds.
-  static constexpr int kCbPacketIn = 0;
-  static constexpr int kCbDeliver = 1;
-
   void arriveAtNode(NodeId node, PortId inPort, Packet&& packet);
   void processAtSwitch(NodeId switchNode, PortId inPort, Packet&& packet);
   void switchPipeline(NodeId switchNode, PortId inPort, Packet&& packet);
@@ -309,12 +285,9 @@ class Network : public PacketSink {
   };
 
   /// One direction of a link's finite transmit queue plus its backpressure
-  /// buffer. Owned by the *sending* node: transmit() only runs under that
-  /// node's shard (switchPipeline / kLinkRetry are sharded by it; host and
-  /// controller sends are sequential), so mutating this state never
-  /// crosses the per-node sharding contract. Both FIFOs are flat vectors
-  /// with a drained-head index, compacted when empty, so steady state
-  /// recycles their capacity.
+  /// buffer, owned by the *sending* node. Both FIFOs are flat vectors with
+  /// a drained-head index, compacted when empty, so steady state recycles
+  /// their capacity.
   struct LinkDirState {
     /// When the direction's serialized line frees up.
     SimTime busyUntil = 0;
@@ -366,9 +339,7 @@ class Network : public PacketSink {
   std::vector<bool> linkUp_;
   std::vector<bool> nodeUp_;
   bool failSoft_ = false;
-  /// Per-node miss buffers (only switch slots are ever used). A buffer is
-  /// the parking switch's own state, so fail-soft buffering stays within
-  /// the per-node sharding contract of packetShardKey.
+  /// Per-node miss buffers (only switch slots are ever used).
   std::vector<std::vector<ParkedMiss>> missBuffers_;
   std::vector<LinkCounters> linkCounters_;
   /// 2 entries per link: [2*l] is the a->b direction, [2*l+1] b->a.

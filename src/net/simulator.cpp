@@ -55,19 +55,7 @@ void Simulator::enqueue(SimTime when, std::uint32_t taggedSlot) {
   ++pendingCount_;
 }
 
-thread_local Simulator::WorkerStage* Simulator::tlsStage_ = nullptr;
-
 void Simulator::scheduleAt(SimTime when, SmallTask action) {
-  if (WorkerStage* st = tlsStage_) {
-    // Parallel region: capture instead of enqueueing. Replayed on the
-    // coordinator in canonical order with a fresh sequence number.
-    StagedEffect e;
-    e.kind = StagedEffect::Kind::kTask;
-    e.when = when;
-    e.task = std::move(action);
-    st->effects.push_back(std::move(e));
-    return;
-  }
   const std::uint32_t slot = tasks_.put(std::move(action));
   assert((slot & kPacketLane) == 0);
   enqueue(when, slot);
@@ -76,18 +64,6 @@ void Simulator::scheduleAt(SimTime when, SmallTask action) {
 void Simulator::schedulePacketAt(SimTime when, PacketSink& sink,
                                  PacketEventKind kind, NodeId node,
                                  PortId port, Packet packet) {
-  if (WorkerStage* st = tlsStage_) {
-    StagedEffect e;
-    e.kind = StagedEffect::Kind::kPacket;
-    e.packetKind = kind;
-    e.node = node;
-    e.port = port;
-    e.when = when;
-    e.sink = &sink;
-    e.packet = std::move(packet);
-    st->effects.push_back(std::move(e));
-    return;
-  }
   std::uint32_t slot;
   if (!packets_.freeList.empty()) {
     slot = packets_.freeList.back();
@@ -151,138 +127,11 @@ void Simulator::dispatch(std::uint32_t taggedSlot) {
   }
 }
 
-void Simulator::stageCallback(PacketSink& sink, int kind, NodeId node,
-                              PortId port, Packet&& packet) {
-  WorkerStage* const st = tlsStage_;
-  assert(st != nullptr);
-  StagedEffect e;
-  e.kind = StagedEffect::Kind::kCallback;
-  e.callbackKind = kind;
-  e.node = node;
-  e.port = port;
-  e.sink = &sink;
-  e.packet = std::move(packet);
-  st->effects.push_back(std::move(e));
-}
-
-void Simulator::replay(StagedEffect& e) {
-  switch (e.kind) {
-    case StagedEffect::Kind::kPacket:
-      schedulePacketAt(e.when, *e.sink, e.packetKind, e.node, e.port,
-                       std::move(e.packet));
-      break;
-    case StagedEffect::Kind::kTask:
-      scheduleAt(e.when, std::move(e.task));
-      break;
-    case StagedEffect::Kind::kCallback:
-      e.sink->onStagedCallback(e.callbackKind, e.node, e.port,
-                               std::move(e.packet));
-      break;
-  }
-}
-
-std::size_t Simulator::tryRunParallel() {
-  if (pool_ == nullptr || pool_->threads() <= 1) return 0;
-  const Item top = queue_.top();
-  {
-    const Run& run = runs_[top.run];
-    // A partially-consumed run (runUntil stopped inside it, or an earlier
-    // event of it already dispatched sequentially) stays sequential.
-    if (run.head != 0) return 0;
-    const std::size_t n = run.extra.size() + 1;
-    if (n < parallelThreshold_) return 0;
-    const int workers = pool_->threads();
-    runSlots_.clear();
-    shardOf_.clear();
-    runSlots_.reserve(n);
-    shardOf_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t tagged = i == 0 ? run.first : run.extra[i - 1];
-      // Slow-lane tasks are arbitrary closures — no shard contract.
-      if ((tagged & kPacketLane) == 0) return 0;
-      const PacketEvent& ev = packets_.slots[tagged & ~kPacketLane];
-      const std::int64_t key =
-          ev.sink->packetShardKey(ev.kind, ev.node, ev.port, ev.packet);
-      if (key < 0) return 0;
-      runSlots_.push_back(tagged);
-      int w = -1;
-      if (static_cast<std::uint64_t>(key) < placement_.size()) {
-        w = placement_[static_cast<std::size_t>(key)];
-      }
-      if (w < 0 || w >= workers) {
-        w = static_cast<int>(key % static_cast<std::int64_t>(workers));
-      }
-      shardOf_.push_back(w);
-    }
-  }
-  const std::size_t n = runSlots_.size();
-  // Committed. Pop and recycle the run *before* executing, mirroring the
-  // sequential path's recycle-before-dispatch: a delay-0 effect replayed
-  // below then opens a fresh run instead of appending to a recycled one.
-  queue_.pop();
-  freeRuns_.push_back(top.run);
-  if (cacheValid_ && cacheRun_ == top.run) cacheValid_ = false;
-  pendingCount_ -= n;
-
-  const int workers = pool_->threads();
-  if (stages_.size() < static_cast<std::size_t>(workers)) {
-    stages_.resize(static_cast<std::size_t>(workers));
-  }
-  // Worker phase: each worker executes its shard's events in canonical
-  // order, capturing every side effect into its own staging buffer. The
-  // sharding invariant (one worker per target node) makes per-node state
-  // single-writer; shared aggregates are relaxed atomics; the pool's
-  // fork/join barrier publishes everything back to this thread.
-  pool_->run([this](int w) {
-    WorkerStage& st = stages_[static_cast<std::size_t>(w)];
-    st.effects.clear();
-    st.ranges.clear();
-    tlsStage_ = &st;
-    const std::size_t count = runSlots_.size();
-    for (std::size_t i = 0; i < count; ++i) {
-      if (shardOf_[i] != w) continue;
-      PacketEvent& ev = packets_.slots[runSlots_[i] & ~kPacketLane];
-      const auto begin = static_cast<std::uint32_t>(st.effects.size());
-      ev.sink->onPacketEvent(ev.kind, ev.node, ev.port, std::move(ev.packet));
-      st.ranges.push_back(
-          WorkerStage::Range{static_cast<std::uint32_t>(i), begin,
-                             static_cast<std::uint32_t>(st.effects.size())});
-    }
-    tlsStage_ = nullptr;
-  });
-  // The packets were moved out by the workers; now the slots can rejoin
-  // the free list (coordinator-only, so after the join).
-  for (const std::uint32_t tagged : runSlots_) {
-    packets_.freeList.push_back(tagged & ~kPacketLane);
-  }
-  // Merge phase: replay each event's effects in canonical run order. This
-  // reproduces the exact sequence of enqueue and callback invocations the
-  // sequential build performs, so sequence numbers, queue state, and
-  // callback order come out byte-identical.
-  mergeCursor_.assign(static_cast<std::size_t>(workers), 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    WorkerStage& st = stages_[static_cast<std::size_t>(shardOf_[i])];
-    const WorkerStage::Range r =
-        st.ranges[mergeCursor_[static_cast<std::size_t>(shardOf_[i])]++];
-    assert(r.event == i);
-    for (std::uint32_t j = r.begin; j != r.end; ++j) replay(st.effects[j]);
-  }
-  ++parallelRuns_;
-  parallelEvents_ += n;
-  processed_ += n;
-  return n;
-}
-
 std::size_t Simulator::run() {
   const WallClockScope wall(wallNanos_);
   std::size_t count = 0;
   while (!queue_.empty()) {
     now_ = queue_.top().when;
-    const std::size_t par = tryRunParallel();
-    if (par != 0) {
-      count += par;
-      continue;
-    }
     dispatch(takeNext());
     ++count;
     ++processed_;
@@ -295,11 +144,6 @@ std::size_t Simulator::runUntil(SimTime until) {
   std::size_t count = 0;
   while (!queue_.empty() && queue_.top().when <= until) {
     now_ = queue_.top().when;
-    const std::size_t par = tryRunParallel();
-    if (par != 0) {
-      count += par;
-      continue;
-    }
     dispatch(takeNext());
     ++count;
     ++processed_;

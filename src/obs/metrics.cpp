@@ -44,33 +44,21 @@ double Histogram::bucketUpperBound(int index) noexcept {
 }
 
 void Histogram::record(double v) noexcept {
-  if (!enabled_->load(std::memory_order_relaxed)) return;
-  buckets_[static_cast<std::size_t>(bucketIndex(v))].fetch_add(
-      1, std::memory_order_relaxed);
-  const std::uint64_t before = count_.fetch_add(1, std::memory_order_relaxed);
-  double cur = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
+  if (!*enabled_) return;
+  ++buckets_[static_cast<std::size_t>(bucketIndex(v))];
+  if (count_++ == 0) {
+    min_ = v;
+    max_ = v;
+  } else {
+    min_ = std::min(min_, v);
+    max_ = std::max(max_, v);
   }
-  if (before == 0) {
-    min_.store(v, std::memory_order_relaxed);
-    max_.store(v, std::memory_order_relaxed);
-    return;
-  }
-  double m = min_.load(std::memory_order_relaxed);
-  while (v < m && !min_.compare_exchange_weak(m, v, std::memory_order_relaxed)) {
-  }
-  m = max_.load(std::memory_order_relaxed);
-  while (v > m && !max_.compare_exchange_weak(m, v, std::memory_order_relaxed)) {
-  }
+  sum_ += v;
 }
 
-double Histogram::min() const noexcept {
-  return count() == 0 ? 0.0 : min_.load(std::memory_order_relaxed);
-}
+double Histogram::min() const noexcept { return count_ == 0 ? 0.0 : min_; }
 
-double Histogram::max() const noexcept {
-  return count() == 0 ? 0.0 : max_.load(std::memory_order_relaxed);
-}
+double Histogram::max() const noexcept { return count_ == 0 ? 0.0 : max_; }
 
 double Histogram::percentile(double q) const {
   const std::uint64_t n = count();
@@ -90,38 +78,27 @@ double Histogram::percentile(double q) const {
 }
 
 void Histogram::merge(const Histogram& other) noexcept {
-  const std::uint64_t otherCount = other.count();
-  if (otherCount == 0) return;
-  for (int i = 0; i < kBucketCount; ++i) {
-    const std::uint64_t v = other.bucketValue(i);
-    if (v != 0) {
-      buckets_[static_cast<std::size_t>(i)].fetch_add(v,
-                                                      std::memory_order_relaxed);
-    }
+  if (other.count_ == 0) return;
+  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+    buckets_[i] += other.buckets_[i];
   }
-  const std::uint64_t mineBefore = count_.fetch_add(otherCount,
-                                                    std::memory_order_relaxed);
-  double cur = sum_.load(std::memory_order_relaxed);
-  const double add = other.sum();
-  while (!sum_.compare_exchange_weak(cur, cur + add, std::memory_order_relaxed)) {
-  }
-  if (mineBefore == 0) {
-    min_.store(other.min(), std::memory_order_relaxed);
-    max_.store(other.max(), std::memory_order_relaxed);
+  if (count_ == 0) {
+    min_ = other.min_;
+    max_ = other.max_;
   } else {
-    min_.store(std::min(min_.load(std::memory_order_relaxed), other.min()),
-               std::memory_order_relaxed);
-    max_.store(std::max(max_.load(std::memory_order_relaxed), other.max()),
-               std::memory_order_relaxed);
+    min_ = std::min(min_, other.min_);
+    max_ = std::max(max_, other.max_);
   }
+  count_ += other.count_;
+  sum_ += other.sum_;
 }
 
 void Histogram::reset() noexcept {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  min_.store(0.0, std::memory_order_relaxed);
-  max_.store(0.0, std::memory_order_relaxed);
+  buckets_.fill(0);
+  count_ = 0;
+  sum_ = 0.0;
+  min_ = 0.0;
+  max_ = 0.0;
 }
 
 // ---- MetricsRegistry ------------------------------------------------------
@@ -131,13 +108,13 @@ std::string MetricsRegistry::familyOf(const std::string& name) {
   return dot == std::string::npos ? name : name.substr(0, dot);
 }
 
-std::atomic<bool>* MetricsRegistry::familyFlag(const std::string& family) {
+bool* MetricsRegistry::familyFlag(const std::string& family) {
   auto& slot = families_[family];
-  if (!slot) slot = std::make_unique<std::atomic<bool>>(true);
+  if (!slot) slot = std::make_unique<bool>(true);
   return slot.get();
 }
 
-const std::atomic<bool>* MetricsRegistry::familyEnabledFlag(
+const bool* MetricsRegistry::familyEnabledFlag(
     const std::string& family) {
   std::lock_guard<std::mutex> lock(mu_);
   return familyFlag(family);
@@ -166,20 +143,18 @@ Histogram& MetricsRegistry::histogram(const std::string& name) {
 
 void MetricsRegistry::setFamilyEnabled(const std::string& family, bool enabled) {
   std::lock_guard<std::mutex> lock(mu_);
-  familyFlag(family)->store(enabled, std::memory_order_relaxed);
+  *familyFlag(family) = enabled;
 }
 
 void MetricsRegistry::setAllFamiliesEnabled(bool enabled) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, flag] : families_) {
-    flag->store(enabled, std::memory_order_relaxed);
-  }
+  for (auto& [name, flag] : families_) *flag = enabled;
 }
 
 bool MetricsRegistry::familyEnabled(const std::string& family) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = families_.find(family);
-  return it == families_.end() || it->second->load(std::memory_order_relaxed);
+  return it == families_.end() || *it->second;
 }
 
 void MetricsRegistry::merge(const MetricsRegistry& other) {
@@ -196,20 +171,15 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
       histograms.emplace_back(name, h.get());
     }
   }
-  for (const auto& [name, c] : counters) {
-    counter(name).value_.fetch_add(c->value(), std::memory_order_relaxed);
-  }
-  for (const auto& [name, g] : gauges) {
-    gauge(name).value_.store(gauge(name).value() + g->value(),
-                             std::memory_order_relaxed);
-  }
+  for (const auto& [name, c] : counters) counter(name).value_ += c->value_;
+  for (const auto& [name, g] : gauges) gauge(name).value_ += g->value_;
   for (const auto& [name, h] : histograms) histogram(name).merge(*h);
 }
 
 void MetricsRegistry::reset() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, c] : counters_) c->value_.store(0, std::memory_order_relaxed);
-  for (auto& [name, g] : gauges_) g->value_.store(0.0, std::memory_order_relaxed);
+  for (auto& [name, c] : counters_) c->value_ = 0;
+  for (auto& [name, g] : gauges_) g->value_ = 0.0;
   for (auto& [name, h] : histograms_) h->reset();
 }
 

@@ -3,22 +3,22 @@
 //
 // Design constraints, in order:
 //  * Near-zero hot-path cost. A metric handle is a raw pointer resolved
-//    once at attach time; an update is one relaxed atomic load (the family
-//    enable flag) plus, when enabled, one relaxed RMW. Components that were
-//    never attached skip even that via a null-pointer check.
-//  * Mergeable. Registries from independent partitions/threads combine
-//    exactly (counters add, histograms add bucket-wise), which is what lets
+//    once at attach time; an update is one load of the family enable flag
+//    plus, when enabled, a plain add. The simulation is single-threaded,
+//    so values are plain integers and doubles, not atomics. Components
+//    that were never attached skip even that via a null-pointer check.
+//  * Mergeable. Registries from independent partitions combine exactly
+//    (counters add, histograms add bucket-wise), which is what lets
 //    multi-controller benches report fleet-wide percentiles.
 //  * Disablement is per *family* — the prefix before the first '.' of the
 //    metric name ("flow_table.lookups" belongs to family "flow_table") —
 //    so a whole subsystem's instrumentation is switched with one flag.
 //
 // Handles returned by counter()/gauge()/histogram() are stable for the
-// registry's lifetime. Registration is mutex-guarded; updates are lock-free.
+// registry's lifetime. Registration is mutex-guarded; updates are not.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -35,41 +35,33 @@ class MetricsRegistry;
 class Counter {
  public:
   void inc(std::uint64_t by = 1) noexcept {
-    if (!enabled_->load(std::memory_order_relaxed)) return;
-    value_.fetch_add(by, std::memory_order_relaxed);
+    if (*enabled_) value_ += by;
   }
-  std::uint64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t value() const noexcept { return value_; }
 
  private:
   friend class MetricsRegistry;
-  explicit Counter(const std::atomic<bool>* enabled) noexcept : enabled_(enabled) {}
-  std::atomic<std::uint64_t> value_{0};
-  const std::atomic<bool>* enabled_;
+  explicit Counter(const bool* enabled) noexcept : enabled_(enabled) {}
+  std::uint64_t value_ = 0;
+  const bool* enabled_;
 };
 
 /// Last-write-wins instantaneous value (queue depths, ratios, snapshots).
 class Gauge {
  public:
   void set(double v) noexcept {
-    if (!enabled_->load(std::memory_order_relaxed)) return;
-    value_.store(v, std::memory_order_relaxed);
+    if (*enabled_) value_ = v;
   }
   void add(double by) noexcept {
-    if (!enabled_->load(std::memory_order_relaxed)) return;
-    double cur = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(cur, cur + by,
-                                         std::memory_order_relaxed)) {
-    }
+    if (*enabled_) value_ += by;
   }
-  double value() const noexcept { return value_.load(std::memory_order_relaxed); }
+  double value() const noexcept { return value_; }
 
  private:
   friend class MetricsRegistry;
-  explicit Gauge(const std::atomic<bool>* enabled) noexcept : enabled_(enabled) {}
-  std::atomic<double> value_{0.0};
-  const std::atomic<bool>* enabled_;
+  explicit Gauge(const bool* enabled) noexcept : enabled_(enabled) {}
+  double value_ = 0.0;
+  const bool* enabled_;
 };
 
 /// Log-bucketed histogram: geometric buckets with kSubBuckets linear
@@ -85,10 +77,8 @@ class Histogram {
 
   void record(double v) noexcept;
 
-  std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
-  double sum() const noexcept { return sum_.load(std::memory_order_relaxed); }
+  std::uint64_t count() const noexcept { return count_; }
+  double sum() const noexcept { return sum_; }
   double mean() const noexcept {
     const std::uint64_t n = count();
     return n == 0 ? 0.0 : sum() / static_cast<double>(n);
@@ -100,8 +90,7 @@ class Histogram {
   double percentile(double q) const;
 
   std::uint64_t bucketValue(int index) const {
-    return buckets_[static_cast<std::size_t>(index)].load(
-        std::memory_order_relaxed);
+    return buckets_[static_cast<std::size_t>(index)];
   }
 
   /// Bucket geometry, exposed for tests: index 0 covers [0, 1); index
@@ -115,16 +104,15 @@ class Histogram {
 
  private:
   friend class MetricsRegistry;
-  explicit Histogram(const std::atomic<bool>* enabled) noexcept
-      : enabled_(enabled) {}
+  explicit Histogram(const bool* enabled) noexcept : enabled_(enabled) {}
   void reset() noexcept;
 
-  std::array<std::atomic<std::uint64_t>, kBucketCount> buckets_{};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-  std::atomic<double> min_{0.0};  // valid only when count_ > 0
-  std::atomic<double> max_{0.0};
-  const std::atomic<bool>* enabled_;
+  std::array<std::uint64_t, kBucketCount> buckets_{};
+  std::uint64_t count_ = 0;
+  double sum_ = 0.0;
+  double min_ = 0.0;  // valid only when count_ > 0
+  double max_ = 0.0;
+  const bool* enabled_;
 };
 
 class MetricsRegistry {
@@ -146,9 +134,9 @@ class MetricsRegistry {
 
   /// The family's enable flag itself (created on demand, stable for the
   /// registry's lifetime). Hot paths that update several metrics per event
-  /// gate the whole block on one relaxed load of this flag instead of
-  /// paying the per-metric check on each handle.
-  const std::atomic<bool>* familyEnabledFlag(const std::string& family);
+  /// gate the whole block on one load of this flag instead of paying the
+  /// per-metric check on each handle.
+  const bool* familyEnabledFlag(const std::string& family);
 
   /// Adds every metric of `other` into this registry (creating missing
   /// ones). A name registered as a different metric kind throws.
@@ -164,10 +152,10 @@ class MetricsRegistry {
   std::string toText() const;
 
  private:
-  std::atomic<bool>* familyFlag(const std::string& family);
+  bool* familyFlag(const std::string& family);
 
   mutable std::mutex mu_;  // guards the maps (registration), not the values
-  std::map<std::string, std::unique_ptr<std::atomic<bool>>> families_;
+  std::map<std::string, std::unique_ptr<bool>> families_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;

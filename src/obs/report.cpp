@@ -22,9 +22,9 @@ Cell::Cell(double v) : json(v) {
 
 BenchReporter::BenchReporter(std::string name) : name_(std::move(name)) {
   metadata_.set("git_describe", PLEROMA_GIT_DESCRIBE);
-  // Parallelism provenance: benches running a WorkerPool overwrite
-  // "threads"; "hardware_concurrency" records what the machine offered so
-  // scaling numbers can be judged from the artifact alone.
+  // Hardware provenance. The simulator is single-threaded, so "threads" is
+  // always 1; the key stays so reports keep one schema across versions.
+  // "hardware_concurrency" records what the machine offered.
   metadata_.set("threads", 1);
   metadata_.set("hardware_concurrency",
                 static_cast<long long>(std::thread::hardware_concurrency()));

@@ -14,7 +14,7 @@
 //   }
 //
 // The six metadata keys above are required by validate(); "git_describe",
-// "threads" (default 1 — set it when running a WorkerPool) and
+// "threads" (always 1: the simulator is single-threaded) and
 // "hardware_concurrency" are pre-filled by the constructor, and benches add
 // whatever else describes the run. Rows carry typed JSON values plus the
 // exact text the bench printed to its TSV, so the JSON is authoritative
@@ -70,8 +70,7 @@ class BenchReporter {
 
   /// Sets a metadata value (seed, topology, workload, … — validate()
   /// requires seed/topology/workload/git_describe/threads/
-  /// hardware_concurrency; the latter three are pre-filled and only
-  /// "threads" commonly needs overriding, by pool-running benches).
+  /// hardware_concurrency; the latter three are pre-filled).
   void meta(const std::string& key, JsonValue v);
 
   /// Starts a new series; subsequent row() calls append to it.

@@ -54,7 +54,7 @@ class Backend {
 
 class SingleBackend final : public Backend {
  public:
-  SingleBackend(const Scenario& s, int threads) {
+  explicit SingleBackend(const Scenario& s) {
     core::PleromaOptions opts;
     opts.numAttributes = s.numAttributes;
     opts.bitsPerDim = s.bitsPerDim;
@@ -68,7 +68,6 @@ class SingleBackend final : public Backend {
     if (s.tcamBudget.has_value()) opts.controller.tcamBudget = *s.tcamBudget;
     opts.network.linkQueueCapacity = s.network.linkQueueCapacity;
     opts.network.backpressure = s.network.backpressure;
-    opts.threads = threads;
     if (s.needsFailover()) {
       // The heartbeat is armed at the kill instant, not at start-up: a
       // live self-rearming tick would keep settle() from ever draining
@@ -367,7 +366,7 @@ RunResult ScenarioRunner::run() {
   if (s.partitions > 1) {
     backend = std::make_unique<MultiBackend>(s);
   } else {
-    backend = std::make_unique<SingleBackend>(s, std::max(1, options_.threads));
+    backend = std::make_unique<SingleBackend>(s);
   }
   const std::size_t hostCount = backend->hostCount();
 
@@ -508,7 +507,6 @@ void ScenarioRunner::report(obs::BenchReporter& out,
   out.meta("seed", s.seed);
   out.meta("topology", s.topologyLabel());
   out.meta("workload", s.workloadLabel());
-  out.meta("threads", std::max(1, options_.threads));
   out.meta("scenario", s.name);
   out.meta("scenario_schema", kScenarioSchema);
   out.meta("partitions", s.partitions);

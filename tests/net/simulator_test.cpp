@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 namespace pleroma::net {
@@ -234,6 +235,61 @@ TEST(Simulator, MixedLaneDeterminism) {
   const auto b = runOnce();
   EXPECT_EQ(a.first, b.first);
   EXPECT_EQ(a.second, b.second);
+}
+
+TEST(Simulator, DelayZeroTasksFromARunFollowTheRunInScheduleOrder) {
+  // Each event of a same-timestamp packet run schedules a delay-0 task.
+  // The tasks carry later sequence numbers than every event of the run,
+  // so they execute after the whole run, at the same instant, in the
+  // order their events scheduled them.
+  Simulator sim;
+  std::vector<std::pair<int, SimTime>> order;  // (+node event, -node task)
+  struct SchedulingSink : PacketSink {
+    Simulator* sim = nullptr;
+    std::vector<std::pair<int, SimTime>>* order = nullptr;
+    void onPacketEvent(PacketEventKind, NodeId node, PortId,
+                       Packet&&) override {
+      order->emplace_back(static_cast<int>(node), sim->now());
+      sim->schedule(0, [this, node] {
+        order->emplace_back(-static_cast<int>(node), sim->now());
+      });
+    }
+  } sink;
+  sink.sim = &sim;
+  sink.order = &order;
+  for (int i = 1; i <= 8; ++i) {
+    sim.schedulePacket(kMillisecond, sink, PacketEventKind::kArrive, i, 0,
+                       Packet{});
+  }
+  EXPECT_EQ(sim.run(), 16u);
+  ASSERT_EQ(order.size(), 16u);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(order[static_cast<std::size_t>(i)].first, i + 1);
+    EXPECT_EQ(order[static_cast<std::size_t>(i) + 8].first, -(i + 1));
+  }
+  for (const auto& [who, when] : order) EXPECT_EQ(when, kMillisecond);
+}
+
+TEST(Simulator, RunUntilDrainsASameTimestampRunAndItsDelayZeroFollowUps) {
+  // runUntil(t) stops only between timestamps: a coalesced run at t,
+  // including what its handlers schedule at t, drains completely, and the
+  // next call resumes with the later events in order.
+  Simulator sim;
+  std::vector<int> order;
+  for (int i = 0; i < 6; ++i) {
+    sim.schedule(100, [&, i] {
+      order.push_back(i);
+      if (i % 2 == 0) sim.schedule(0, [&, i] { order.push_back(10 + i); });
+    });
+  }
+  sim.schedule(101, [&] { order.push_back(99); });
+  EXPECT_EQ(sim.runUntil(100), 9u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 10, 12, 14}));
+  EXPECT_EQ(sim.pendingEvents(), 1u);
+  EXPECT_EQ(sim.runUntil(100), 0u);
+  EXPECT_EQ(sim.runUntil(200), 1u);
+  EXPECT_EQ(order.back(), 99);
+  EXPECT_EQ(sim.now(), 200);
 }
 
 }  // namespace

@@ -160,11 +160,11 @@ TEST(MetricsRegistry, FamilyOfSplitsAtFirstDot) {
 
 TEST(MetricsRegistry, FamilyEnabledFlagMirrorsSetFamilyEnabled) {
   MetricsRegistry reg;
-  const std::atomic<bool>* flag = reg.familyEnabledFlag("sim");
+  const bool* flag = reg.familyEnabledFlag("sim");
   ASSERT_NE(flag, nullptr);
-  EXPECT_TRUE(flag->load());
+  EXPECT_TRUE(*flag);
   reg.setFamilyEnabled("sim", false);
-  EXPECT_FALSE(flag->load());
+  EXPECT_FALSE(*flag);
   // Same flag instance shared with metrics registered later in the family.
   EXPECT_EQ(reg.familyEnabledFlag("sim"), flag);
   Counter& c = reg.counter("sim.events");

